@@ -101,29 +101,32 @@ func FuzzWALRoundTrip(f *testing.F) {
 }
 
 // referenceReplay is a deliberately straightforward model of the
-// active-segment replay contract, independent of the staged
-// implementation in wal.go: batches apply only with a terminated
-// commit line, the final record may be torn (unparsable or missing
-// its newline), and any record after a torn one is mid-log corruption.
-// It returns corrupt=true where recovery must fail.
-func referenceReplay(data []byte) (state map[string]float64, corrupt bool) {
-	lines, _, term := splitLines(data)
+// active-segment replay contract, independent of the one-pass scanner
+// in wal.go: it splits the whole log into lines first, batches apply
+// only with a terminated commit line, the final record may be torn
+// (unparsable or missing its newline), and any record after a torn one
+// is mid-log corruption. It returns corrupt=true where recovery must
+// fail, with the 1-based line and byte offset of the damaged record
+// the error must name.
+func referenceReplay(data []byte) (state map[string]float64, corrupt bool, line int, off int64) {
+	lines, offs, term := splitLines(data)
 	state = map[string]float64{}
 	start := 0
 	if len(lines) > 0 && strings.HasPrefix(lines[0], "wal ") {
 		if len(lines) == 1 && !term {
-			return state, false // torn header: segment died at birth
+			return state, false, 0, 0 // torn header: segment died at birth
 		}
 		if _, err := strconv.ParseUint(lines[0][len("wal "):], 10, 64); err != nil {
-			return nil, true
+			return nil, true, 1, 0
 		}
 		start = 1
 	}
 	batch := map[string]float64{}
-	torn := false
+	torn := -1 // index of the torn record, if any
 	for i := start; i < len(lines); i++ {
-		if torn {
-			return nil, true // a record after damage proves it mid-log
+		if torn >= 0 {
+			// A record after damage proves it mid-log.
+			return nil, true, torn + 1, offs[torn]
 		}
 		last := i == len(lines)-1 && !term
 		if lines[i] == "commit" && !last {
@@ -135,19 +138,42 @@ func referenceReplay(data []byte) (state map[string]float64, corrupt bool) {
 		}
 		key, value, err := parseSetLine(lines[i])
 		if last || err != nil {
-			torn = true // tolerated only as the final record
+			torn = i // tolerated only as the final record
 			continue
 		}
 		batch[key] = value
 	}
-	return state, false
+	return state, false, 0, 0
+}
+
+// splitLines breaks data into newline-delimited lines with their byte
+// offsets, reporting whether the final line had its newline. It is the
+// reference model's own line splitter, kept apart from wal.go's
+// scanner so the fuzz target checks the scanner's line numbers and
+// offsets against an independent count.
+func splitLines(data []byte) (lines []string, offs []int64, terminated bool) {
+	terminated = true
+	start := 0
+	for i := 0; i < len(data); i++ {
+		if data[i] == '\n' {
+			lines = append(lines, string(data[start:i]))
+			offs = append(offs, int64(start))
+			start = i + 1
+		}
+	}
+	if start < len(data) {
+		lines = append(lines, string(data[start:]))
+		offs = append(offs, int64(start))
+		terminated = false
+	}
+	return lines, offs, terminated
 }
 
 // FuzzReplayWAL feeds arbitrary bytes to recovery as the active WAL
 // segment and checks it against referenceReplay: recovery must never
-// panic, must fail with a typed *WALCorruptError exactly when the
-// model says the log is corrupt, and must otherwise produce exactly
-// the model's state.
+// panic, must fail with a typed *WALCorruptError naming the model's
+// first damaged record exactly when the model says the log is
+// corrupt, and must otherwise produce exactly the model's state.
 func FuzzReplayWAL(f *testing.F) {
 	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\n"))
 	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\nset \"b\" 2\nGARB"))
@@ -158,13 +184,20 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Add([]byte("wal 2"))
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n"))
+	// Headerless generation-0 logs: a torn tail, and mid-log damage.
+	f.Add([]byte("set \"a\" 1\ncommit\nset \"b\" 2\ncommit\nset \"c\" 3\ncomm"))
+	f.Add([]byte("set \"a\" 1\ncommit\nset \"b\n2\ncommit\n"))
+	// Mid-log damage after a torn record: a batch torn inside its key,
+	// then later intact batches.
+	f.Add([]byte("wal 3\nset \"a\" 1\nset \"b\" 2\ncommit\nset \"c\" \nset \"d\" 4\ncommit\nset \"e\" 5\ncommit\n"))
+	f.Add([]byte("wal 1\nset \"a\" 1\ncommit\ncommit\nset \"b\" x\ncommit\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := fault.NewMemFS()
 		if err := fs.WriteFile("wal", data); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := recoverGeneral(fs, "wal")
-		want, corrupt := referenceReplay(data)
+		want, corrupt, line, off := referenceReplay(data)
 		if corrupt {
 			var ce *WALCorruptError
 			if err == nil || !errors.As(err, &ce) {
@@ -172,6 +205,10 @@ func FuzzReplayWAL(f *testing.F) {
 			}
 			if got != nil {
 				t.Fatalf("corrupt log %q: recovery leaked partial state %v", data, got)
+			}
+			if ce.File != "wal" || ce.Line != line || ce.Offset != off {
+				t.Fatalf("corrupt log %q: error names %s:%d (byte %d), want wal:%d (byte %d): %v",
+					data, ce.File, ce.Line, ce.Offset, line, off, err)
 			}
 			return
 		}

@@ -168,17 +168,9 @@ func (w *walWriter) appendBatch(writes map[string]float64) error {
 	if w.broken != nil {
 		return w.broken
 	}
-	// Encode into reused scratch instead of fmt.Fprintf: byte-for-byte
-	// the same records ("set <quoted-key> <floatG>\n"), without the
-	// per-record format parsing, boxing and intermediate strings. The
-	// torture tests compare WAL bytes, so the encoding must not drift.
 	w.kvScratch = appendSortedKVs(w.kvScratch[:0], writes)
 	for _, kv := range w.kvScratch {
-		w.encScratch = append(w.encScratch[:0], "set "...)
-		w.encScratch = strconv.AppendQuote(w.encScratch, kv.Key)
-		w.encScratch = append(w.encScratch, ' ')
-		w.encScratch = strconv.AppendFloat(w.encScratch, kv.Value, 'g', -1, 64)
-		w.encScratch = append(w.encScratch, '\n')
+		w.encScratch = appendSetRecord(w.encScratch[:0], kv.Key, kv.Value)
 		if _, err := w.buf.Write(w.encScratch); err != nil {
 			return w.poison(err)
 		}
@@ -190,6 +182,18 @@ func (w *walWriter) appendBatch(writes map[string]float64) error {
 		return w.poison(err)
 	}
 	return nil
+}
+
+// appendSetRecord appends the record for one write,
+// `set <quoted-key> <value>\n`, to dst. It is the only encoder of set
+// records, shared by the log and the snapshot; the torture tests
+// compare WAL bytes, so its output must not drift.
+func appendSetRecord(dst []byte, key string, value float64) []byte {
+	dst = append(dst, "set "...)
+	dst = strconv.AppendQuote(dst, key)
+	dst = append(dst, ' ')
+	dst = strconv.AppendFloat(dst, value, 'g', -1, 64)
+	return append(dst, '\n')
 }
 
 func (w *walWriter) sync() error {
@@ -261,16 +265,17 @@ func sealedSegments(fsys fault.FS, walPath string) ([]sealedSegment, error) {
 
 // recoverGeneral loads the general store from the checkpoint snapshot
 // and the log segments it does not cover. Missing files mean an empty
-// starting state. Replay is staged: batches are collected first and
-// applied only when the whole log has parsed clean, so an error never
-// leaves a partial state behind. A torn or uncommitted tail in the
-// last segment with records is truncated away before returning, so
-// the writer never appends after bytes replay discarded.
+// starting state. Each file is read once and its lines are walked in
+// place; every batch with a terminated commit applies straight into a
+// fresh map, which is discarded whole on any error, so a failed
+// recovery never leaves a partial state behind. A torn or uncommitted
+// tail in the last segment with records is truncated away before
+// returning, so the writer never appends after bytes replay discarded.
 func recoverGeneral(fsys fault.FS, path string) (map[string]float64, walState, error) {
-	general := make(map[string]float64)
 	var st walState
+	rs := &replayState{general: make(map[string]float64), keys: make(map[string]string)}
 
-	snapGen, err := loadSnapshot(fsys, snapPath(path), general)
+	snapGen, err := loadSnapshot(fsys, snapPath(path), rs)
 	if err != nil {
 		return nil, st, err
 	}
@@ -281,7 +286,6 @@ func recoverGeneral(fsys fault.FS, path string) (map[string]float64, walState, e
 		return nil, st, err
 	}
 
-	rs := &replayState{}
 	// The segment with a tolerated torn/uncommitted tail, and the
 	// offset of its last terminated commit — everything past it is
 	// discarded bytes that must not survive on disk.
@@ -356,13 +360,7 @@ func recoverGeneral(fsys fault.FS, path string) (map[string]float64, walState, e
 			return nil, st, err
 		}
 	}
-
-	for _, b := range rs.batches {
-		for k, v := range b {
-			general[k] = v
-		}
-	}
-	return general, st, nil
+	return rs.general, st, nil
 }
 
 // truncateTail cuts a recovered segment back to the end of its last
@@ -393,32 +391,53 @@ func truncateTail(fsys fault.FS, name string, size int64) error {
 // file or a lone torn header (a crash during segment creation) is
 // discarded and recreated; a headerless file with data is a legacy
 // generation-0 log.
-func activeHeader(path string, data []byte) (gen uint64, usable bool, err error) {
-	lines, _, term := splitLines(data)
-	if len(lines) == 0 {
+func activeHeader(path, data string) (gen uint64, usable bool, err error) {
+	sc := lineScanner{data: data}
+	if !sc.next() {
 		return 0, false, nil
 	}
-	if !strings.HasPrefix(lines[0], "wal ") {
+	if !strings.HasPrefix(sc.line, "wal ") {
 		return 0, true, nil
 	}
-	if len(lines) == 1 && !term {
+	if !sc.term {
 		return 0, false, nil
 	}
-	gen, perr := strconv.ParseUint(lines[0][len("wal "):], 10, 64)
+	gen, perr := strconv.ParseUint(sc.line[len("wal "):], 10, 64)
 	if perr != nil {
 		return 0, false, &WALCorruptError{File: path, Line: 1, Offset: 0,
-			Reason: fmt.Sprintf("bad segment header %q", lines[0])}
+			Reason: fmt.Sprintf("bad segment header %q", sc.line)}
 	}
 	return gen, true, nil
 }
 
-// replayState accumulates committed batches across the segment chain.
-// torn records the first unparsable or unterminated record; it is
-// tolerated only while nothing follows it — a later record proves the
-// damage is mid-log, which a crash cannot produce.
+// replayState accumulates recovery across the snapshot and the segment
+// chain. torn records the first unparsable or unterminated record; it
+// is tolerated only while nothing follows it — a later record proves
+// the damage is mid-log, which a crash cannot produce.
 type replayState struct {
-	batches []map[string]float64
-	torn    *WALCorruptError
+	// general is the recovered store. Committed batches apply into it
+	// directly; recoverGeneral drops it on any error.
+	general map[string]float64
+	// keys interns every key in general. Parsed keys are substrings of
+	// a file's buffer, and assigning a map entry replaces its stored
+	// key, so every write goes through the interned copy: otherwise the
+	// map would pin the buffer for the life of the database.
+	keys map[string]string
+	// batch collects the current batch's writes until its commit line;
+	// it is reused across batches.
+	batch []KeyValue
+	torn  *WALCorruptError
+}
+
+// set writes one recovered value under its interned key, copying the
+// key out of the file's buffer the first time it is seen.
+func (rs *replayState) set(key string, value float64) {
+	k, ok := rs.keys[key]
+	if !ok {
+		k = strings.Clone(key)
+		rs.keys[k] = k
+	}
+	rs.general[k] = value
 }
 
 // replaySegment parses one segment's batches into rs. expectGen is
@@ -427,67 +446,69 @@ type replayState struct {
 // byte offset just past the segment's last terminated commit line (or
 // past the header when no batch committed): the truncation point that
 // removes a torn or uncommitted tail without touching committed data.
-func replaySegment(name string, data []byte, expectGen uint64, rs *replayState) (commitEnd int64, err error) {
-	lines, offs, term := splitLines(data)
-	start := 0
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "wal ") {
-		if len(lines) == 1 && !term {
+func replaySegment(name, data string, expectGen uint64, rs *replayState) (commitEnd int64, err error) {
+	sc := lineScanner{data: data}
+	switch {
+	case !sc.next():
+		return 0, nil
+	case strings.HasPrefix(sc.line, "wal "):
+		if !sc.term {
 			// Torn header: the segment died at birth, nothing in it.
 			return 0, nil
 		}
-		gen, err := strconv.ParseUint(lines[0][len("wal "):], 10, 64)
+		gen, err := strconv.ParseUint(sc.line[len("wal "):], 10, 64)
 		if err != nil || gen != expectGen {
 			return 0, &WALCorruptError{File: name, Line: 1, Offset: 0,
-				Reason: fmt.Sprintf("segment header %q does not name generation %d", lines[0], expectGen)}
+				Reason: fmt.Sprintf("segment header %q does not name generation %d", sc.line, expectGen)}
 		}
-		start = 1
-		commitEnd = int64(len(lines[0])) + 1
-	} else if len(lines) > 0 && expectGen != 0 {
+		commitEnd = int64(sc.end)
+	case expectGen != 0:
 		return 0, &WALCorruptError{File: name, Line: 1, Offset: 0,
 			Reason: fmt.Sprintf("missing generation header (want %d)", expectGen)}
+	default:
+		// Headerless legacy segment: its first line is a record.
+		sc = lineScanner{data: data}
 	}
 
-	pending := map[string]float64(nil)
-	for i := start; i < len(lines); i++ {
+	// A batch never spans segments: writes the previous segment left
+	// without a terminated commit are a torn batch, discarded.
+	rs.batch = rs.batch[:0]
+	for sc.next() {
 		if rs.torn != nil {
-			rs.torn.Reason += fmt.Sprintf("; later record at %s:%d proves mid-log damage", name, i+1)
+			rs.torn.Reason += fmt.Sprintf("; later record at %s:%d proves mid-log damage", name, sc.n)
 			return 0, rs.torn
 		}
-		line := lines[i]
-		unterminated := i == len(lines)-1 && !term
-		if line == "commit" && !unterminated {
-			rs.batches = append(rs.batches, pending)
-			pending = nil
-			commitEnd = offs[i] + int64(len(line)) + 1
+		if sc.line == "commit" && sc.term {
+			for _, kv := range rs.batch {
+				rs.set(kv.Key, kv.Value)
+			}
+			rs.batch = rs.batch[:0]
+			commitEnd = int64(sc.end)
 			continue
 		}
-		key, value, err := parseSetLine(line)
+		key, value, err := parseSetLine(sc.line)
 		switch {
-		case unterminated:
+		case !sc.term:
 			// Even a record that happens to parse is untrustworthy
 			// without its newline: the append never finished, so the
 			// batch never committed.
-			rs.torn = &WALCorruptError{File: name, Line: i + 1, Offset: offs[i],
-				Reason: fmt.Sprintf("unterminated record %q", line)}
+			rs.torn = &WALCorruptError{File: name, Line: sc.n, Offset: int64(sc.off),
+				Reason: fmt.Sprintf("unterminated record %q", sc.line)}
 		case err != nil:
-			rs.torn = &WALCorruptError{File: name, Line: i + 1, Offset: offs[i],
+			rs.torn = &WALCorruptError{File: name, Line: sc.n, Offset: int64(sc.off),
 				Reason: err.Error()}
 		default:
-			if pending == nil {
-				pending = make(map[string]float64)
-			}
-			pending[key] = value
+			rs.batch = append(rs.batch, KeyValue{Key: key, Value: value})
 		}
 	}
-	// Writes without a terminated commit are a torn batch: discarded.
 	return commitEnd, nil
 }
 
-// loadSnapshot reads the checkpoint snapshot, returning the first
-// generation it does not cover. Snapshots are written to a temp file,
-// synced and renamed into place, so unlike the log they are never
-// legitimately torn: any damage is an error.
-func loadSnapshot(fsys fault.FS, path string, into map[string]float64) (uint64, error) {
+// loadSnapshot reads the checkpoint snapshot into rs, returning the
+// first generation it does not cover. Snapshots are written to a temp
+// file, synced and renamed into place, so unlike the log they are
+// never legitimately torn: any damage is an error.
+func loadSnapshot(fsys fault.FS, path string, rs *replayState) (uint64, error) {
 	data, err := readFileAll(fsys, path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -495,62 +516,87 @@ func loadSnapshot(fsys fault.FS, path string, into map[string]float64) (uint64, 
 	if err != nil {
 		return 0, fmt.Errorf("strip: reading snapshot: %w", err)
 	}
-	lines, offs, term := splitLines(data)
+	sc := lineScanner{data: data}
 	var gen uint64
-	start := 0
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "snap ") {
-		gen, err = strconv.ParseUint(lines[0][len("snap "):], 10, 64)
+	if sc.next() && strings.HasPrefix(sc.line, "snap ") {
+		if !sc.term {
+			return 0, &WALCorruptError{File: path, Line: 1, Offset: 0,
+				Reason: fmt.Sprintf("unterminated snapshot header %q", sc.line)}
+		}
+		gen, err = strconv.ParseUint(sc.line[len("snap "):], 10, 64)
 		if err != nil {
 			return 0, &WALCorruptError{File: path, Line: 1, Offset: 0,
-				Reason: fmt.Sprintf("bad snapshot header %q", lines[0])}
+				Reason: fmt.Sprintf("bad snapshot header %q", sc.line)}
 		}
-		start = 1
+	} else {
+		// Headerless snapshot: its first line is a record.
+		sc = lineScanner{data: data}
 	}
-	for i := start; i < len(lines); i++ {
-		if i == len(lines)-1 && !term {
-			return 0, &WALCorruptError{File: path, Line: i + 1, Offset: offs[i],
+	for sc.next() {
+		if !sc.term {
+			return 0, &WALCorruptError{File: path, Line: sc.n, Offset: int64(sc.off),
 				Reason: "unterminated snapshot record"}
 		}
-		key, value, err := parseSetLine(lines[i])
+		key, value, err := parseSetLine(sc.line)
 		if err != nil {
-			return 0, &WALCorruptError{File: path, Line: i + 1, Offset: offs[i],
+			return 0, &WALCorruptError{File: path, Line: sc.n, Offset: int64(sc.off),
 				Reason: err.Error()}
 		}
-		into[key] = value
+		rs.set(key, value)
 	}
 	return gen, nil
 }
 
-// readFileAll reads a whole file through the fault surface.
-func readFileAll(fsys fault.FS, name string) ([]byte, error) {
+// readFileAll reads a whole file through the fault surface into one
+// buffer sized from the file's length. The result is a string so the
+// records parsed from it are substrings, not copies.
+func readFileAll(fsys fault.FS, name string) (string, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return "", err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.Grow(int(size))
+	if _, err := io.Copy(&b, f); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
-// splitLines breaks data into newline-delimited lines with their byte
-// offsets, reporting whether the final line had its newline. The
-// distinction matters: a final line missing its terminator is a torn
-// append, even when its bytes happen to parse.
-func splitLines(data []byte) (lines []string, offs []int64, terminated bool) {
-	terminated = true
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			lines = append(lines, string(data[start:i]))
-			offs = append(offs, int64(start))
-			start = i + 1
-		}
+// lineScanner walks the newline-delimited lines of a file in place,
+// tracking each line's 1-based number and byte offset. It reports
+// whether the current line had its newline: a final line missing its
+// terminator is a torn append, even when its bytes happen to parse.
+type lineScanner struct {
+	data string
+	line string // the current line, without its newline
+	n    int    // 1-based number of the current line
+	off  int    // byte offset of the current line's first byte
+	end  int    // byte offset just past the current line and its newline
+	term bool   // the current line ended with a newline
+}
+
+// next advances to the following line, reporting false at the end.
+func (s *lineScanner) next() bool {
+	if s.end >= len(s.data) {
+		return false
 	}
-	if start < len(data) {
-		lines = append(lines, string(data[start:]))
-		offs = append(offs, int64(start))
-		terminated = false
+	s.n++
+	s.off = s.end
+	if i := strings.IndexByte(s.data[s.off:], '\n'); i >= 0 {
+		s.line, s.end, s.term = s.data[s.off:s.off+i], s.off+i+1, true
+	} else {
+		s.line, s.end, s.term = s.data[s.off:], len(s.data), false
 	}
-	return lines, offs, terminated
+	return true
 }
 
 // parseSetLine decodes `set <quoted-key> <value>`.
@@ -651,11 +697,13 @@ func writeSnapshot(fsys fault.FS, walPath string, gen uint64, pairs []KeyValue) 
 	if err != nil {
 		return fmt.Errorf("strip: creating snapshot: %w", err)
 	}
+	// bufio.Writer errors are sticky, so Flush reports any failed Write.
 	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "snap %d\n", gen)
+	rec := strconv.AppendUint([]byte("snap "), gen, 10)
+	w.Write(append(rec, '\n'))
 	for _, kv := range pairs {
-		fmt.Fprintf(w, "set %s %s\n",
-			strconv.Quote(kv.Key), strconv.FormatFloat(kv.Value, 'g', -1, 64))
+		rec = appendSetRecord(rec[:0], kv.Key, kv.Value)
+		w.Write(rec)
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
