@@ -87,7 +87,7 @@ func run(args []string) error {
 	replListen := fs.String("repl-listen", "", "serve the replication frame stream on this TCP address")
 	replicateFrom := fs.String("replicate-from", "", "run as a replica of the primary at this -repl-listen address")
 	walPath := fs.String("wal", "", "write-ahead log path: makes general data durable across restarts")
-	ckptEvery := fs.Duration("checkpoint-every", 30*time.Second, "checkpoint interval when -wal is set (also heals a degraded log)")
+	ckptEvery := fs.Duration("checkpoint-every", 30*time.Second, "checkpoint interval when -wal is set: heals a degraded log (the engine compacts the log itself, so recovery stays bounded without it)")
 	electListen := fs.String("elect-listen", "", "join leader election with this address as the node's identity")
 	peers := fs.String("peers", "", "election membership as elect=repl address pairs, comma separated (identical on every node)")
 	electState := fs.String("elect-state", "", "election ledger path: makes promises and decisions durable across restarts (defaults to <wal>.elect when -wal is set)")
@@ -355,8 +355,8 @@ func runServer(cfg serverConfig) error {
 	}
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
-	// Periodic checkpoints bound recovery time; a checkpoint is also
-	// the degraded-mode heal path after a WAL failure.
+	// Periodic checkpoints are the degraded-mode heal path after a WAL
+	// failure; recovery time is bounded by the engine's own compaction.
 	var ckptC <-chan time.Time
 	if cfg.walPath != "" && cfg.ckptEvery > 0 {
 		ckptTicker := time.NewTicker(cfg.ckptEvery)

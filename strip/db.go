@@ -57,6 +57,18 @@ type DB struct {
 	fs  fault.FS
 	dur *metrics.Durability // WAL health and degraded mode, guarded by mu
 
+	// Automatic compaction (see maybeCompactLocked). walTail counts the
+	// set records in log segments the snapshot does not cover: those
+	// replayed at Open plus those appended since, back to zero at each
+	// rotation. compacting marks a compaction requested and not yet
+	// finished. compactCh carries requests to the compactor goroutine
+	// and compactorDone is closed when it exits; both are nil without
+	// a WAL.
+	walTail       int  // guarded by mu
+	compacting    bool // guarded by mu
+	compactCh     chan struct{}
+	compactorDone chan struct{}
+
 	// Replication state (see replication.go). seq is the replication
 	// sequence — the total order over worthy view installs and
 	// committed write batches — advanced by emitLocked inside the
@@ -139,8 +151,8 @@ func Open(cfg Config) (*DB, error) {
 	}
 	general := make(map[string]float64)
 	var wal *walWriter
+	var st walState
 	if cfg.WALPath != "" {
-		var st walState
 		var err error
 		general, st, err = recoverGeneral(fsys, cfg.WALPath)
 		if err != nil {
@@ -171,6 +183,7 @@ func Open(cfg Config) (*DB, error) {
 		names:      make(map[string]model.ObjectID),
 		general:    general,
 		wal:        wal,
+		walTail:    st.tailRecords,
 		fs:         fsys,
 		dur:        metrics.NewDurability(),
 		lag:        metrics.NewReplicaLag(),
@@ -181,6 +194,11 @@ func Open(cfg Config) (*DB, error) {
 		db.queue = uqueue.NewCoalescedQueue(cfg.QueueCapacity, 1)
 	} else {
 		db.queue = uqueue.NewGenQueue(cfg.QueueCapacity, 1)
+	}
+	if wal != nil {
+		db.compactCh = make(chan struct{}, 1)
+		db.compactorDone = make(chan struct{})
+		go db.compactor()
 	}
 	go db.loop()
 	return db, nil
@@ -198,8 +216,14 @@ func (db *DB) Close() error {
 	<-db.done
 	db.closeWatchers()
 	if db.wal != nil {
-		// The writer's fields are guarded by db.mu: a Checkpoint that
-		// passed its rotate phase before markClosed may still be
+		// No compaction can be requested now that closed is set. The
+		// compactor finishes one still writing its snapshot, finds any
+		// request still queued refused with ErrClosed, and exits — so
+		// no file I/O follows Close.
+		close(db.compactCh)
+		<-db.compactorDone
+		// The writer's fields are guarded by db.mu: a manual Checkpoint
+		// that passed its rotate phase before markClosed may still be
 		// writing its snapshot and will read db.wal.broken under mu
 		// in checkpointHeal.
 		db.mu.Lock()

@@ -242,9 +242,25 @@ func (n *Node) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		n.wg.Add(1)
+		if !n.track() {
+			conn.Close()
+			return nil
+		}
 		go n.serveConn(conn)
 	}
+}
+
+// track counts one connection handler in wg, refusing when closed.
+// Adding under mu, before Close can set closed, orders every Add
+// before Close's wg.Wait.
+func (n *Node) track() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return false
+	}
+	n.wg.Add(1)
+	return true
 }
 
 // register adopts the listener, refusing when closed.

@@ -138,7 +138,6 @@ func (p *Primary) Serve(l net.Listener) error {
 			conn.Close()
 			return nil
 		}
-		p.wg.Add(1)
 		go p.serveConn(conn)
 	}
 }
@@ -169,6 +168,9 @@ func (p *Primary) track(conn net.Conn) bool {
 		return false
 	}
 	p.conns[conn] = struct{}{}
+	// Adding under mu, before Close can set closed, orders every Add
+	// before Close's wg.Wait.
+	p.wg.Add(1)
 	return true
 }
 

@@ -242,6 +242,10 @@ func (db *DB) applyWritesLocked(writes map[string]float64) error {
 	} else {
 		db.emitBatchLocked(writes)
 	}
+	if db.wal != nil {
+		db.walTail += len(writes)
+		db.maybeCompactLocked()
+	}
 	return nil
 }
 
@@ -351,9 +355,23 @@ func (db *DB) ApplyReplicatedBatch(writes []KeyValue) error {
 // sequence they correspond to. It is the bootstrap payload served to
 // cold replicas, deterministic for equal states.
 func (db *DB) ReplicaSnapshot() Snapshot {
+	s := db.replicaCut()
+	// Sorting after the read lock is released keeps it off the path of
+	// every install and commit waiting for the write lock.
+	sortKVs(s.General)
+	sort.Slice(s.Views, func(i, j int) bool { return s.Views[i].Name < s.Views[j].Name })
+	return s
+}
+
+// replicaCut copies ReplicaSnapshot's state under the read lock,
+// leaving the general pairs and the views unsorted.
+func (db *DB) replicaCut() Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := Snapshot{Seq: db.seq, General: sortedKVs(db.general)}
+	s := Snapshot{Seq: db.seq}
+	if len(db.general) > 0 {
+		s.General = appendKVs(make([]KeyValue, 0, len(db.general)), db.general)
+	}
 	for id, def := range db.defs {
 		if def.derived {
 			continue
@@ -367,7 +385,6 @@ func (db *DB) ReplicaSnapshot() Snapshot {
 			Fields:     sortedKVs(e.fields),
 		})
 	}
-	sort.Slice(s.Views, func(i, j int) bool { return s.Views[i].Name < s.Views[j].Name })
 	return s
 }
 
@@ -381,6 +398,16 @@ func (db *DB) InstallSnapshot(s Snapshot) error {
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
+	}
+	// A cold replica's registry and general store are empty: size them
+	// for the snapshot rather than growing them key by key.
+	if len(db.names) == 0 && len(s.Views) > 0 {
+		//striplint:ignore alloc-in-hotpath -- snapshot install happens once per bootstrap, not per frame
+		db.names = make(map[string]model.ObjectID, len(s.Views))
+	}
+	if len(db.general) == 0 && len(s.General) > 0 {
+		//striplint:ignore alloc-in-hotpath -- snapshot install happens once per bootstrap, not per frame
+		db.general = make(map[string]float64, len(s.General))
 	}
 	for _, v := range s.Views {
 		id, ok := db.names[v.Name]
@@ -514,17 +541,31 @@ func sortedKVs(m map[string]float64) []KeyValue {
 
 // appendSortedKVs appends the map's pairs to dst (which must be
 // empty: callers pass a fresh or length-reset scratch slice) in
-// key-sorted order. slices.SortFunc with a capture-free comparison
-// keeps the sort itself allocation-free, unlike sort.Slice, which
-// boxes the slice and its closure.
+// key-sorted order.
 func appendSortedKVs(dst []KeyValue, m map[string]float64) []KeyValue {
+	dst = appendKVs(dst, m)
+	sortKVs(dst)
+	return dst
+}
+
+// appendKVs appends the map's pairs to dst in map order. Every caller
+// sorts the result with sortKVs — some only after releasing the lock
+// that guards m, so a large copy holds it for the copy alone.
+func appendKVs(dst []KeyValue, m map[string]float64) []KeyValue {
+	//striplint:ignore map-order-leak -- callers sort with sortKVs, some after releasing the lock guarding m
 	for k, v := range m {
 		dst = append(dst, KeyValue{Key: k, Value: v})
 	}
-	slices.SortFunc(dst, func(a, b KeyValue) int {
+	return dst
+}
+
+// sortKVs sorts pairs by key. slices.SortFunc with a capture-free
+// comparison keeps the sort itself allocation-free, unlike sort.Slice,
+// which boxes the slice and its closure.
+func sortKVs(kvs []KeyValue) {
+	slices.SortFunc(kvs, func(a, b KeyValue) int {
 		return strings.Compare(a.Key, b.Key)
 	})
-	return dst
 }
 
 // kvFields converts sorted pairs back into an attribute map.

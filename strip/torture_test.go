@@ -26,15 +26,32 @@ import (
 //     resurrects from truncated or torn log data),
 //   - recovery itself never fails on a pure crash state.
 
-// tortureBatches is the scripted workload length.
-const tortureBatches = 30
+// tortureWorkload scripts a torture run. Batch i sets "k" to i, so
+// every state names its batch count, and width of the keys b0..b<keys-1>
+// (starting at b<i*width mod keys>) to i*10+j, which exercises
+// multi-key batches and overwrites. A Sync follows every syncEvery-th
+// batch and a Checkpoint every ckptEvery-th (0: never).
+type tortureWorkload struct {
+	batches, keys, width int
+	syncEvery, ckptEvery int
+}
+
+// tortureBatches is the scripted workload: 30 small batches with
+// manual Syncs and Checkpoints, far below the compaction trigger.
+var tortureBatches = tortureWorkload{batches: 30, keys: 5, width: 1, syncEvery: 7, ckptEvery: 10}
 
 // tortureScript runs the workload on a fresh MemFS-backed database
 // and returns the op log, the per-batch op counts (ops recorded when
 // batch i was fully written), the guarantee markers (opCount =>
 // batches guaranteed durable), and the cumulative expected states
 // (expected[c] = general store after c batches).
-func tortureScript(t *testing.T) (fs *fault.MemFS, batchOps []int, markers [][2]int, expected []map[string]float64) {
+//
+// Automatic compactions are made part of the deterministic op stream:
+// each commit runs with ckptMu held, so a compaction it requests cannot
+// start until the batch's op count is taken, and the script waits for
+// the compaction before the next batch. A compaction syncs the sealed
+// segment at rotation, so one that ran is a guarantee marker.
+func tortureScript(t *testing.T, w tortureWorkload) (fs *fault.MemFS, batchOps []int, markers [][2]int, expected []map[string]float64) {
 	t.Helper()
 	fs = fault.NewMemFS()
 	db, err := Open(Config{Policy: TransactionsFirst, WALPath: "wal", FS: fs})
@@ -44,37 +61,36 @@ func tortureScript(t *testing.T) (fs *fault.MemFS, batchOps []int, markers [][2]
 
 	expected = append(expected, map[string]float64{}) // zero batches
 	state := map[string]float64{}
-	for i := 0; i < tortureBatches; i++ {
+	for i := 0; i < w.batches; i++ {
 		i := i
-		res := db.Exec(TxnSpec{
-			Deadline: time.Now().Add(5 * time.Second),
-			Func: func(tx *Tx) error {
-				// "k" makes every state distinguishable; the "b" keys
-				// exercise multi-key batches and overwrites.
-				tx.Set("k", float64(i))
-				tx.Set(fmt.Sprintf("b%d", i%5), float64(i*10))
-				return nil
-			},
-		})
-		if !res.Committed() {
-			t.Fatalf("batch %d failed: %+v", i, res)
+		writes := map[string]float64{"k": float64(i)}
+		for j := 0; j < w.width; j++ {
+			writes[fmt.Sprintf("b%d", (i*w.width+j)%w.keys)] = float64(i*10 + j)
 		}
+		db.ckptMu.Lock()
+		commitBatch(t, db, writes)
 		batchOps = append(batchOps, fs.OpCount())
-		state["k"] = float64(i)
-		state[fmt.Sprintf("b%d", i%5)] = float64(i * 10)
+		db.ckptMu.Unlock()
+		db.waitCompaction()
+		if n := fs.OpCount(); n > batchOps[i] {
+			markers = append(markers, [2]int{n, i + 1})
+		}
+		for k, v := range writes {
+			state[k] = v
+		}
 		cp := make(map[string]float64, len(state))
 		for k, v := range state {
 			cp[k] = v
 		}
 		expected = append(expected, cp)
 
-		if i%7 == 6 {
+		if w.syncEvery > 0 && i%w.syncEvery == w.syncEvery-1 {
 			if err := db.Sync(); err != nil {
 				t.Fatalf("sync after batch %d: %v", i, err)
 			}
 			markers = append(markers, [2]int{fs.OpCount(), i + 1})
 		}
-		if i%10 == 9 {
+		if w.ckptEvery > 0 && i%w.ckptEvery == w.ckptEvery-1 {
 			if err := db.Checkpoint(); err != nil {
 				t.Fatalf("checkpoint after batch %d: %v", i, err)
 			}
@@ -84,7 +100,7 @@ func tortureScript(t *testing.T) (fs *fault.MemFS, batchOps []int, markers [][2]
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	markers = append(markers, [2]int{fs.OpCount(), tortureBatches})
+	markers = append(markers, [2]int{fs.OpCount(), w.batches})
 	return fs, batchOps, markers, expected
 }
 
@@ -130,13 +146,39 @@ func equalStates(a, b map[string]float64) bool {
 // workload (well over the 200-cycle floor), zero tolerated contract
 // violations.
 func TestTortureCrashEveryByte(t *testing.T) {
-	fs, batchOps, markers, expected := tortureScript(t)
+	fs, batchOps, markers, expected := tortureScript(t, tortureBatches)
 	ops := fs.Ops()
 	pts := fault.CrashPoints(ops)
 	if len(pts) < 200 {
 		t.Fatalf("only %d crash points enumerated; torture floor is 200", len(pts))
 	}
+	checkCrashPoints(t, ops, pts, batchOps, markers, expected)
+}
 
+// TestTortureCrashEveryByteCompaction runs the same crash enumeration
+// over a workload that crosses the automatic compaction trigger, then
+// checkpoints by hand over the compaction's snapshot: every byte-level
+// crash point inside the compaction's rotation, snapshot write,
+// snapshot install and prune must recover to a committed prefix
+// holding every synced batch.
+func TestTortureCrashEveryByteCompaction(t *testing.T) {
+	const keys = 5
+	// Each batch writes keys+1 records over keys+1 live keys, so the
+	// trigger fires in batch perCrossing.
+	perCrossing := (compactRatio*(keys+1)+compactFloor)/(keys+1) + 1
+	w := tortureWorkload{batches: perCrossing + 20, keys: keys, width: keys, syncEvery: 50, ckptEvery: perCrossing + 10}
+	fs, batchOps, markers, expected := tortureScript(t, w)
+	ops := fs.Ops()
+	if installs := snapshotInstalls(ops); installs != 2 {
+		t.Fatalf("workload installed %d snapshots, want one compaction and one manual checkpoint", installs)
+	}
+	checkCrashPoints(t, ops, fault.CrashPoints(ops), batchOps, markers, expected)
+}
+
+// checkCrashPoints reopens the database at every crash point and
+// asserts the durability contract against the script's markers.
+func checkCrashPoints(t *testing.T, ops []fault.Op, pts []fault.CrashPoint, batchOps []int, markers [][2]int, expected []map[string]float64) {
+	t.Helper()
 	violations := 0
 	for _, pt := range pts {
 		// Durable floor: batches covered by a guarantee marker at or

@@ -110,6 +110,10 @@ type walState struct {
 	activeGen uint64 // generation of the usable active segment
 	activeOK  bool   // the active segment exists and can be appended to
 	nextGen   uint64 // generation for a fresh active segment otherwise
+	// tailRecords counts the committed set records replayed from log
+	// segments, the part of recovery the snapshot did not cover; it
+	// seeds the database's compaction trigger.
+	tailRecords int
 }
 
 // openWAL opens the active segment for appending, creating a fresh
@@ -273,7 +277,7 @@ func sealedSegments(fsys fault.FS, walPath string) ([]sealedSegment, error) {
 // returning, so the writer never appends after bytes replay discarded.
 func recoverGeneral(fsys fault.FS, path string) (map[string]float64, walState, error) {
 	var st walState
-	rs := &replayState{general: make(map[string]float64), keys: make(map[string]string)}
+	rs := &replayState{}
 
 	snapGen, err := loadSnapshot(fsys, snapPath(path), rs)
 	if err != nil {
@@ -360,6 +364,7 @@ func recoverGeneral(fsys fault.FS, path string) (map[string]float64, walState, e
 			return nil, st, err
 		}
 	}
+	st.tailRecords = rs.tail
 	return rs.general, st, nil
 }
 
@@ -426,7 +431,18 @@ type replayState struct {
 	// batch collects the current batch's writes until its commit line;
 	// it is reused across batches.
 	batch []KeyValue
-	torn  *WALCorruptError
+	// tail counts the records applied from committed segment batches.
+	tail int
+	torn *WALCorruptError
+}
+
+// init allocates the recovered maps, sized for n keys: the snapshot
+// holds one record per key, so its line count is the live key count
+// the log last checkpointed, and sizing up front saves the map
+// growth replay would otherwise do record by record.
+func (rs *replayState) init(n int) {
+	rs.general = make(map[string]float64, n)
+	rs.keys = make(map[string]string, n)
 }
 
 // set writes one recovered value under its interned key, copying the
@@ -482,6 +498,7 @@ func replaySegment(name, data string, expectGen uint64, rs *replayState) (commit
 			for _, kv := range rs.batch {
 				rs.set(kv.Key, kv.Value)
 			}
+			rs.tail += len(rs.batch)
 			rs.batch = rs.batch[:0]
 			commitEnd = int64(sc.end)
 			continue
@@ -504,18 +521,21 @@ func replaySegment(name, data string, expectGen uint64, rs *replayState) (commit
 	return commitEnd, nil
 }
 
-// loadSnapshot reads the checkpoint snapshot into rs, returning the
-// first generation it does not cover. Snapshots are written to a temp
-// file, synced and renamed into place, so unlike the log they are
-// never legitimately torn: any damage is an error.
+// loadSnapshot allocates rs's maps and reads the checkpoint snapshot
+// into them, returning the first generation it does not cover.
+// Snapshots are written to a temp file, synced and renamed into place,
+// so unlike the log they are never legitimately torn: any damage is an
+// error.
 func loadSnapshot(fsys fault.FS, path string, rs *replayState) (uint64, error) {
 	data, err := readFileAll(fsys, path)
 	if errors.Is(err, os.ErrNotExist) {
+		rs.init(0)
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("strip: reading snapshot: %w", err)
 	}
+	rs.init(strings.Count(data, "\n"))
 	sc := lineScanner{data: data}
 	var gen uint64
 	if sc.next() && strings.HasPrefix(sc.line, "snap ") {
@@ -747,6 +767,16 @@ func pruneSegments(fsys fault.FS, walPath string, snapGen uint64) {
 // A successful Checkpoint also heals degraded mode (see ErrDurability):
 // the fresh segment plus the new snapshot re-establish the durability
 // contract. It is a no-op without a configured WAL.
+//
+// The database also checkpoints on its own: once the log segments the
+// snapshot does not cover hold more than compactRatio set records per
+// live key plus compactFloor, a commit starts one background
+// Checkpoint (see maybeCompactLocked). Recovery therefore replays at
+// most (1+compactRatio)× the live state plus the floor, and snapshots
+// add at most 1/compactRatio to the log's write volume. Calling
+// Checkpoint directly is still the way to heal degraded mode, which no
+// commit can reach, and to bound the next Open's replay before a
+// planned shutdown.
 func (db *DB) Checkpoint() error {
 	if db.wal == nil {
 		return nil
@@ -759,6 +789,9 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
+	// The cut was copied under db.mu; sorting it here keeps the sort
+	// off the lock every install and commit needs.
+	sortKVs(pairs)
 	//striplint:ignore block-under-lock -- snapshot I/O deliberately runs under ckptMu alone; db.mu was released after the rotation
 	if err := writeSnapshot(db.fs, db.cfg.WALPath, snapGen, pairs); err != nil {
 		// The WAL itself is intact: the old snapshot plus the sealed
@@ -772,8 +805,9 @@ func (db *DB) Checkpoint() error {
 }
 
 // checkpointRotate runs Checkpoint's locked phase: seal the active
-// segment, start a fresh one, and copy the general store — the exact
-// cut the snapshot will cover, since no commit can interleave.
+// segment, start a fresh one, and copy the general store, unsorted —
+// the exact cut the snapshot will cover, since no commit can
+// interleave. The fresh segment starts the compaction count over.
 func (db *DB) checkpointRotate() (pairs []KeyValue, snapGen uint64, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -785,7 +819,67 @@ func (db *DB) checkpointRotate() (pairs []KeyValue, snapGen uint64, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return sortedKVs(db.general), sealedGen + 1, nil
+	db.walTail = 0
+	return appendKVs(make([]KeyValue, 0, len(db.general)), db.general), sealedGen + 1, nil
+}
+
+// Automatic compaction. A background checkpoint starts once the set
+// records in log segments the snapshot does not cover exceed
+// compactRatio per live key plus compactFloor. The two constants give
+// the bounds Checkpoint documents:
+//
+//   - replay: Open reads the snapshot (one record per live key) plus
+//     at most compactRatio·keys + compactFloor tail records, so
+//     recovery is bounded by (1+compactRatio)× the live state, not by
+//     the write history;
+//   - write amplification: each compaction writes one record per live
+//     key after more than compactRatio records per key were logged, so
+//     snapshots add under 1/compactRatio to the log's write volume.
+//
+// 4 keeps replay within 5× the live state at a snapshot cost under a
+// quarter of the log. The floor stops a small store from
+// checkpointing every few commits — a checkpoint costs three fsyncs
+// and two renames, amortised here over at least compactFloor records,
+// which replay in well under a millisecond.
+const (
+	compactRatio = 4
+	compactFloor = 1024
+)
+
+// maybeCompactLocked asks the compactor for a background Checkpoint
+// when the log tail has outgrown the live state, unless a request is
+// outstanding or the database is closing. Callers hold db.mu for
+// writing, after a successful WAL append. Close sets closed under the
+// same lock before it closes compactCh, so no request is sent after.
+func (db *DB) maybeCompactLocked() {
+	if db.walTail <= compactRatio*len(db.general)+compactFloor || db.compacting || db.closed {
+		return
+	}
+	db.compacting = true
+	// compacting admits one request at a time, so the one-slot channel
+	// always has room and the send never waits.
+	select {
+	case db.compactCh <- struct{}{}:
+	default:
+	}
+}
+
+// compactor runs the checkpoints maybeCompactLocked requests, one at
+// a time, until Close closes compactCh. Their outcome follows a
+// manual Checkpoint's: a failed rotation degrades the database (and a
+// degraded database commits nothing, so it requests no compaction
+// until a manual Checkpoint heals it); a failed snapshot write leaves
+// the log intact and is retried when the fresh segment crosses the
+// trigger again.
+func (db *DB) compactor() {
+	defer close(db.compactorDone)
+	for range db.compactCh {
+		//striplint:ignore err-drop -- failures surface as degraded mode (rotation) or leave the log intact for the next trigger (snapshot); there is no caller to return them to
+		db.Checkpoint()
+		db.mu.Lock()
+		db.compacting = false
+		db.mu.Unlock()
+	}
 }
 
 // checkpointHeal ends degraded mode after a successful snapshot —
